@@ -9,27 +9,38 @@
 // the adaptive baseline (AdaptiveReducer -- the paper's §3.4 policy, the
 // strongest general-purpose path this repo has) against classify-then-
 // dispatch over the same stream, same output array, same operator.
-// Classification is timed separately: in production it runs once at
-// dataset-prep time and is memoized in the DatasetCache, so the steady
-// state the dispatch numbers model is "schedule reused across
-// iterations", exactly like the paper's amortized inspector.
+// Classification is timed separately, on every compiled tier this host
+// can run: warm requests reuse a memoized classification, but every cold
+// call pays it, so each family also reports the break-even horizon --
+// how many dispatch passes must reuse one classification before it has
+// paid for itself.
 //
 //   $ bench/pattern_bench
+//   {"bench":"pattern_classify","family":"distinct_round_robin",
+//    "backend":"scalar","n":1048576,"tiles":256,"classify_ns_per_elem":...}
+//   ...
 //   {"bench":"pattern_dispatch","family":"distinct_round_robin",
 //    "tile_class":"conflict_free","backend":"avx512","n":1048576,...,
-//    "adaptive_ns_per_elem":...,"pattern_ns_per_elem":...,"speedup":...}
+//    "adaptive_ns_per_elem":...,"pattern_ns_per_elem":...,"speedup":...,
+//    "breakeven_passes":...}
 //
-// One JSON line per family, so scripts/bench_collect.sh folds the run
-// into BENCH_<rev>.json unmodified.  The acceptance gate reads the
-// "speedup" field: >= 1.3x on the conflict-free and monotone families,
-// and the "general" control row (where dispatch routes every tile back
-// to the baseline) must stay within 2% of it.
+// One pattern_classify line per family and runnable tier, then one
+// pattern_dispatch line per family, so scripts/bench_collect.sh folds
+// the run into BENCH_<rev>.json unmodified.  The dispatch row's
+// classify_ns_per_elem is the classifier of its own backend, and
+// breakeven_passes = classify_ns_per_elem / (adaptive_ns_per_elem -
+// pattern_ns_per_elem), null when dispatch saves nothing.  The
+// acceptance gate reads the "speedup" field: >= 1.3x on the
+// conflict-free and monotone families, and the "general" control row
+// (where dispatch routes every tile back to the baseline) must stay
+// within 2% of it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
 #include "core/Adaptive.h"
+#include "core/Dispatch.h"
 #include "core/InvecReduce.h"
 #include "pattern/Classify.h"
 #include "pattern/Dispatch.h"
@@ -124,6 +135,19 @@ double runPatternDispatch(const verify::Workload &W,
   return Best;
 }
 
+/// Classification of the whole stream in pseudo-tiles on tier \p T (min
+/// over kReps; the dispatch loop below never includes it).
+double classifySeconds(const core::DispatchTable &T,
+                       const verify::Workload &W, pattern::PatternResult &P) {
+  double Best = 1e300;
+  for (int Rep = 0; Rep < kReps; ++Rep) {
+    WallTimer CT;
+    P = T.Classify(pattern::streamSource(W.Idx.data(), kN));
+    Best = std::min(Best, CT.seconds());
+  }
+  return Best;
+}
+
 void benchFamily(verify::IdxPattern Family, int32_t Universe) {
   verify::CaseSpec Spec;
   Spec.Seed = benchSeed();
@@ -132,12 +156,23 @@ void benchFamily(verify::IdxPattern Family, int32_t Universe) {
   Spec.Idx = Family;
   const verify::Workload W = verify::genWorkload(Spec);
 
-  // Classification cost, amortized per element (one scan; memoized at
-  // prep time in production, so it is NOT part of the dispatch loop).
-  WallTimer CT;
-  const pattern::PatternResult P =
-      pattern::classifyStream(W.Idx.data(), kN, pattern::kStreamTileLen);
-  const double ClassifySec = CT.seconds();
+  // Classification cost per element on every tier this host runs; the
+  // dispatch row below uses its own backend's figure.
+  pattern::PatternResult P;
+  double ClassifySec = 0.0;
+  for (const core::BackendInfo &I : core::backendInfos()) {
+    if (!I.Available)
+      continue;
+    const double Sec = classifySeconds(core::dispatchFor(I.Kind), W, P);
+    std::printf("{\"bench\":\"pattern_classify\",\"family\":\"%s\","
+                "\"backend\":\"%s\",\"n\":%lld,\"tiles\":%lld,"
+                "\"classify_ns_per_elem\":%.4f}\n",
+                verify::idxPatternName(Family), I.Name,
+                static_cast<long long>(kN),
+                static_cast<long long>(P.numTiles()), Sec / kN * 1e9);
+    if (std::strcmp(I.Name, B::kName) == 0)
+      ClassifySec = Sec;
+  }
 
   // Dominant tile class: what the dispatcher actually sees, which for
   // these synthetic families should be uniform across tiles.
@@ -153,17 +188,23 @@ void benchFamily(verify::IdxPattern Family, int32_t Universe) {
   if (Sink == 42.125)  // consume the checksum so nothing dead-codes
     std::fprintf(stderr, "# %f\n", Sink);
 
+  // ROADMAP item 5's break-even horizon: passes of saved kernel time
+  // that one classification costs.
+  char Breakeven[32] = "null";
+  if (AdaptiveSec > PatternSec)
+    std::snprintf(Breakeven, sizeof(Breakeven), "%.3f",
+                  ClassifySec / (AdaptiveSec - PatternSec));
   std::printf("{\"bench\":\"pattern_dispatch\",\"family\":\"%s\","
               "\"tile_class\":\"%s\",\"backend\":\"%s\",\"n\":%lld,"
               "\"tiles\":%lld,\"adaptive_ns_per_elem\":%.4f,"
               "\"pattern_ns_per_elem\":%.4f,\"classify_ns_per_elem\":%.4f,"
-              "\"speedup\":%.3f}\n",
+              "\"speedup\":%.3f,\"breakeven_passes\":%s}\n",
               verify::idxPatternName(Family),
               pattern::tileClassName(static_cast<pattern::TileClass>(Dominant)),
               B::kName, static_cast<long long>(kN),
               static_cast<long long>(P.numTiles()),
               AdaptiveSec / kN * 1e9, PatternSec / kN * 1e9,
-              ClassifySec / kN * 1e9, AdaptiveSec / PatternSec);
+              ClassifySec / kN * 1e9, AdaptiveSec / PatternSec, Breakeven);
 }
 
 } // namespace

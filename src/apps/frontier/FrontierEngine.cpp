@@ -470,8 +470,15 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
   } else if (ShareCsr) {
     Adj = graph::CsrView::of(*O.SharedCsr);
   } else {
+    WallTimer P;
     LocalAdj = graph::buildCsr(G);
     Adj = graph::CsrView::of(LocalAdj);
+    R.CsrSeconds = P.seconds();
+    // Retroactive span from the measurement the result reports, like
+    // spmv:csr_build.
+    obs::Tracer::instance().recordAt("frontier:csr_build", "inspector",
+                                     monotonicSeconds() - R.CsrSeconds,
+                                     R.CsrSeconds);
   }
 
   AlignedVector<float> Val(N), ValNew(N);

@@ -68,6 +68,10 @@ struct FrontierResult {
   /// Total active edges relaxed across all iterations.
   int64_t EdgesProcessed = 0;
   double ComputeSeconds = 0.0;
+  /// Local CSR build (0 when a shared or mapped adjacency was reused).
+  /// Prep time like tiling and grouping, but common to every version, so
+  /// totalSeconds() leaves it out of the version comparison.
+  double CsrSeconds = 0.0;
   double TilingSeconds = 0.0;
   double GroupingSeconds = 0.0;
   double SimdUtil = 1.0; ///< mask version only

@@ -15,7 +15,7 @@
 #include "inspector/Tiling.h"
 #include "masking/ConflictMask.h"
 #include "obs/Trace.h"
-#include "pattern/Classify.h"
+#include "pattern/ClassifyKernel.h"
 #include "pattern/Dispatch.h"
 #include "simd/Traits.h"
 #include "util/Stats.h"
@@ -310,8 +310,8 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
         Pat = Shared->Pattern;
       else
         Pat = std::make_shared<pattern::PatternResult>(
-            pattern::classifyTiles(TDst.data(), TileBounds,
-                                   O.TileBlockBits));
+            pattern::classify<B>(pattern::tilesSource(
+                TDst.data(), TileBounds, O.TileBlockBits)));
     }
     R.TilingSeconds = T.seconds();
     // Retroactive span from the same measurement the result reports, so

@@ -16,7 +16,7 @@
 #include "inspector/Tiling.h"
 #include "masking/ConflictMask.h"
 #include "obs/Trace.h"
-#include "pattern/Classify.h"
+#include "pattern/ClassifyKernel.h"
 #include "pattern/Dispatch.h"
 #include "util/Stats.h"
 #include "util/Timer.h"
@@ -273,7 +273,7 @@ SpmvResult apps::CFV_VARIANT_NS::runSpmv(const graph::EdgeList &A,
     } else {
       WallTimer P;
       LocalPat = std::make_unique<pattern::PatternResult>(
-          pattern::classifyStream(Coo.Src, Coo.M));
+          pattern::classify<B>(pattern::streamSource(Coo.Src, Coo.M)));
       Pat = LocalPat.get();
       R.PrepSeconds += P.seconds();
     }

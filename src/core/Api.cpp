@@ -511,7 +511,7 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
     Res.Values = std::move(FR.Value);
     Res.Iterations = FR.Iterations;
     Res.ComputeSeconds = FR.ComputeSeconds;
-    Res.PrepSeconds = FR.TilingSeconds + FR.GroupingSeconds;
+    Res.PrepSeconds = FR.CsrSeconds + FR.TilingSeconds + FR.GroupingSeconds;
     Res.SimdUtil = FR.SimdUtil;
     Res.MeanD1 = FR.MeanD1;
     Res.D1Hist = FR.D1Hist;
@@ -565,8 +565,6 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
     Res.MeanD1 = AR.MeanD1;
     Res.D1Hist = AR.D1Hist;
     Res.UtilHist = AR.UtilHist;
-    for (int C = 0; C < 5; ++C)
-      Res.PatternTiles[C] = AR.PatternTiles[C];
     Res.EdgesProcessed = R.Rows;
     break;
   }

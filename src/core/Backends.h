@@ -32,6 +32,7 @@
 #include "apps/rbk/ReduceByKey.h"
 #include "apps/spmv/Spmv.h"
 #include "core/RunOptions.h"
+#include "pattern/Classify.h"
 
 namespace cfv {
 namespace apps {
@@ -77,6 +78,21 @@ CFV_BACKEND_ENTRY_DECLS
 #undef CFV_BACKEND_ENTRY_DECLS
 
 } // namespace apps
+
+// The pattern classifier, instantiated per variant by
+// pattern/ClassifyKernel.cpp.
+namespace pattern {
+namespace b_scalar {
+PatternResult classify(const TileSource &S);
+} // namespace b_scalar
+namespace b_avx2 {
+PatternResult classify(const TileSource &S);
+} // namespace b_avx2
+namespace b_avx512 {
+PatternResult classify(const TileSource &S);
+} // namespace b_avx512
+} // namespace pattern
+
 } // namespace cfv
 
 #endif // CFV_CORE_BACKENDS_H

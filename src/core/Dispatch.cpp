@@ -36,6 +36,7 @@ constexpr DispatchTable ScalarTable = {
     &apps::b_scalar::runRbkComparison,
     &apps::b_scalar::runSpmv,
     &apps::b_scalar::runMeshDiffusion,
+    &pattern::b_scalar::classify,
 };
 
 #if CFV_BUILD_AVX2
@@ -52,6 +53,7 @@ constexpr DispatchTable Avx2Table = {
     &apps::b_avx2::runRbkComparison,
     &apps::b_avx2::runSpmv,
     &apps::b_avx2::runMeshDiffusion,
+    &pattern::b_avx2::classify,
 };
 #endif
 
@@ -69,6 +71,7 @@ constexpr DispatchTable Avx512Table = {
     &apps::b_avx512::runRbkComparison,
     &apps::b_avx512::runSpmv,
     &apps::b_avx512::runMeshDiffusion,
+    &pattern::b_avx512::classify,
 };
 #endif
 

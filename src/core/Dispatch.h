@@ -39,6 +39,7 @@
 #include "apps/rbk/ReduceByKey.h"
 #include "apps/spmv/Spmv.h"
 #include "core/RunOptions.h"
+#include "pattern/Classify.h"
 #include "util/Status.h"
 
 #include <string>
@@ -84,6 +85,9 @@ struct DispatchTable {
   apps::MeshRunResult (*MeshDiffusion)(const apps::Mesh &, const float *,
                                        int, float, apps::MeshVersion,
                                        const core::RunOptions &);
+  /// The pattern classifier (pattern/ClassifyKernel.h) behind the public
+  /// pattern::classify* entry points.
+  pattern::PatternResult (*Classify)(const pattern::TileSource &);
 };
 
 /// True when the AVX-512 kernel set was compiled in AND the host CPU/OS

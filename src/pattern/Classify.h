@@ -5,11 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The inspector side of the pattern subsystem: one linear scan per tile
-/// assigns a TileClass plus the stats in pattern::TileInfo.  Everything
-/// is scalar and ISA-independent -- classification happens once per
-/// dataset and is cached, so simplicity and exactness beat vectorizing
-/// the analysis itself.
+/// The inspector side of the pattern subsystem: one pass per tile assigns
+/// a TileClass plus the stats in pattern::TileInfo.  Cold calls (a plain
+/// EdgeList or key stream through cfv::run) classify on every call, so
+/// the pass is vectorized like the kernels it feeds: the classifier is
+/// one width-generic kernel (pattern/ClassifyKernel.h) that finds a
+/// window's duplicates with conflict() -- the paper's vpconflictd -- and
+/// runs at the lane width of the selected backend.  The entry points
+/// below reach it through core::DispatchTable::Classify; variant-compiled
+/// code calls classify<B> directly.  The result is identical on every
+/// backend.
 ///
 /// Certification contract: ConflictFree means *no aligned 16-lane window
 /// measured from the tile's first element contains a duplicate index*.
@@ -27,7 +32,9 @@
 #include "inspector/Tiling.h"
 #include "pattern/Pattern.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 namespace cfv {
 namespace pattern {
@@ -38,14 +45,46 @@ namespace pattern {
 /// kClassifyWindow so pseudo-tile starts are window-aligned.
 constexpr int64_t kStreamTileLen = 4096;
 
+/// Where a (pseudo-)tiled index stream lives, as the classifier kernel
+/// reads it: element p is Values[p], or Values[Order[p]] when Order is set
+/// (an inspector permutation applied on the fly).  Tiles are explicit
+/// (Begin holds NumTiles + 1 bounds) or, when Begin is null, fixed
+/// pseudo-tiles of TileLen over N elements.
+struct TileSource {
+  const int32_t *Values = nullptr;
+  const int32_t *Order = nullptr;
+  const int64_t *Begin = nullptr;
+  int64_t NumTiles = 0;
+  int64_t N = 0;
+  int64_t TileLen = 0;
+  int BlockBits = -1;
+
+  int64_t tileBegin(int64_t T) const { return Begin ? Begin[T] : T * TileLen; }
+  int64_t tileEnd(int64_t T) const {
+    return Begin ? Begin[T + 1] : std::min(N, (T + 1) * TileLen);
+  }
+};
+
+/// Pseudo-tiles of \p TileLen over a flat stream, rounded up to a
+/// multiple of kClassifyWindow so tile starts stay window-aligned.
+TileSource streamSource(const int32_t *Idx, int64_t N,
+                        int64_t TileLen = kStreamTileLen);
+
+/// The whole of Idx[0..N) as one tile.
+TileSource rangeSource(const int32_t *Idx, int64_t N);
+
+/// Explicit tiles over an already-permuted stream.
+TileSource tilesSource(const int32_t *TiledIdx,
+                       const std::vector<int64_t> &TileBegin, int BlockBits);
+
 /// Classifies one contiguous index range as a single tile.  Exposed as
 /// the unit the tests and the verify reference classifier check against.
 TileInfo classifyRange(const int32_t *Idx, int64_t N);
 
 /// Classifies a flat stream in fixed pseudo-tiles of \p TileLen
 /// (BlockBits = -1 in the result).  Used for streams that have no
-/// inspector tiling: SpMV's COO row stream, aggregation keys, and the
-/// verification pipelines.
+/// inspector tiling: SpMV's COO row stream and the verification
+/// pipelines.
 PatternResult classifyStream(const int32_t *Idx, int64_t N,
                              int64_t TileLen = kStreamTileLen);
 

@@ -76,16 +76,6 @@ private:
   T *Base;
 };
 
-namespace detail {
-
-template <typename B> inline Mask16 tileTailMask(int64_t Left) {
-  constexpr int kLanes = simd::BackendTraits<B>::kLanes;
-  constexpr Mask16 kFull = simd::BackendTraits<B>::kFullMask;
-  return Left >= kLanes ? kFull : static_cast<Mask16>((1u << Left) - 1u);
-}
-
-} // namespace detail
-
 /// ConflictFree: the classifier certified pairwise-distinct indices in
 /// every window, so the per-vector conflict check disappears entirely --
 /// the pure gather/compute/scatter the paper's Figure 1 wishes it could
@@ -97,7 +87,7 @@ inline void runTileConflictFree(const int32_t *Idx, int64_t N,
   using IV = simd::VecI32<B>;
   constexpr int kLanes = simd::BackendTraits<B>::kLanes;
   for (int64_t I = 0; I < N; I += kLanes) {
-    const Mask16 Active = detail::tileTailMask<B>(N - I);
+    const Mask16 Active = simd::BackendTraits<B>::firstLanes(N - I);
     const IV Iv = IV::maskLoad(IV::zero(), Active, Idx + I);
     const auto Vv = Payload(Active, I);
     assert(simd::conflictFreeSubset(Active, Iv) == Active &&
@@ -127,7 +117,7 @@ inline void runTileMonotone(const int32_t *Idx, int64_t N,
   const IV NoIdx = IV::broadcast(-1);
 
   for (int64_t I = 0; I < N; I += kLanes) {
-    const Mask16 Active = detail::tileTailMask<B>(N - I);
+    const Mask16 Active = simd::BackendTraits<B>::firstLanes(N - I);
     const IV Iv = IV::maskLoad(NoIdx, Active, Idx + I);
     V Vv = Payload(Active, I);
 
@@ -181,7 +171,7 @@ inline void runTileSmallAlphabet(const TileInfo &Info, const int32_t *Idx,
   const IV NoIdx = IV::broadcast(-1);
 
   for (int64_t I = 0; I < N; I += kLanes) {
-    const Mask16 Active = detail::tileTailMask<B>(N - I);
+    const Mask16 Active = simd::BackendTraits<B>::firstLanes(N - I);
     const IV Iv = IV::maskLoad(NoIdx, Active, Idx + I);
     V Vv = Payload(Active, I);
     Mask16 Covered = 0;
@@ -223,7 +213,7 @@ inline void runTileHotBucket(const TileInfo &Info, const int32_t *Idx,
   const IV NoIdx = IV::broadcast(-1);
 
   for (int64_t I = 0; I < N; I += kLanes) {
-    const Mask16 Active = detail::tileTailMask<B>(N - I);
+    const Mask16 Active = simd::BackendTraits<B>::firstLanes(N - I);
     const IV Iv = IV::maskLoad(NoIdx, Active, Idx + I);
     V Vv = Payload(Active, I);
     const Mask16 HotM = Iv.maskEq(Active, Hot);

@@ -21,10 +21,11 @@
 /// cross-request sharing), the result carries an explicit schema version;
 /// consumers reject mismatches instead of misreading a stale layout.
 ///
-/// Everything here is ISA-independent plain data.  The classifier lives
-/// in pattern/Classify.h (baseline-compiled); the specialized kernels in
-/// pattern/Dispatch.h (width-generic templates instantiated by the
-/// variant-compiled app TUs).
+/// Everything here is ISA-independent plain data.  The classifier's
+/// entry points live in pattern/Classify.h and its width-generic kernel
+/// in pattern/ClassifyKernel.h; the specialized kernels in
+/// pattern/Dispatch.h.  Both kernels are templates instantiated by the
+/// variant-compiled TUs, one source for all three backends.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -23,20 +23,30 @@
 #include "simd/Vec.h"
 #include "simd/Vec64.h"
 
+#include <type_traits>
+
 namespace cfv {
 namespace simd {
 
 /// Emulation of vpconflictd: lane i's value has bit j set iff j < i and
 /// Idx[j] == Idx[i].
 inline VecI32<backend::Scalar> conflictBits(VecI32<backend::Scalar> Idx) {
+  // Lane I compares against the lanes of its own and the preceding
+  // quarters (fixed-length loops the compiler vectorizes), then keeps the
+  // bits below I.
   VecI32<backend::Scalar> R;
-  for (int I = 0; I < backend::Scalar::kLanes; ++I) {
-    int32_t Bits = 0;
-    for (int J = 0; J < I; ++J)
-      if (Idx.Lane[J] == Idx.Lane[I])
-        Bits |= 1 << J;
-    R.Lane[I] = Bits;
-  }
+  const auto Quarter = [&](auto Upto, int First) {
+    for (int I = First; I < First + 4; ++I) {
+      unsigned Bits = 0;
+      for (int J = 0; J < decltype(Upto)::value; ++J)
+        Bits |= Idx.Lane[J] == Idx.Lane[I] ? kLaneBits[J] : 0u;
+      R.Lane[I] = static_cast<int32_t>(Bits & (kLaneBits[I] - 1u));
+    }
+  };
+  Quarter(std::integral_constant<int, 4>{}, 0);
+  Quarter(std::integral_constant<int, 8>{}, 4);
+  Quarter(std::integral_constant<int, 12>{}, 8);
+  Quarter(std::integral_constant<int, 16>{}, 12);
   return R;
 }
 

@@ -51,6 +51,14 @@ inline Mask16 laneBit(int Lane) {
   return static_cast<Mask16>(1u << Lane);
 }
 
+/// laneBit() of every lane as a table.  The scalar emulation's lane loops
+/// build and test masks through it because the compiler vectorizes a
+/// table lookup where it gives up on a shift by the loop index.
+inline constexpr unsigned kLaneBits[kMaxLanes] = {
+    1u << 0, 1u << 1, 1u << 2,  1u << 3,  1u << 4,  1u << 5,
+    1u << 6, 1u << 7, 1u << 8,  1u << 9,  1u << 10, 1u << 11,
+    1u << 12, 1u << 13, 1u << 14, 1u << 15};
+
 /// True when lane \p Lane is set in \p M.
 inline bool testLane(Mask16 M, int Lane) { return (M >> Lane) & 1u; }
 

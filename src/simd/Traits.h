@@ -58,6 +58,13 @@ template <typename B> struct BackendTraits {
   static constexpr Mask16 kFullMask64 =
       static_cast<Mask16>((1u << kLanes64) - 1);
 
+  /// The first \p Left lanes (all of them when Left >= kLanes): the
+  /// active mask of a vector with Left elements still to go.
+  static Mask16 firstLanes(int64_t Left) {
+    return Left >= kLanes ? kFullMask
+                          : static_cast<Mask16>((1u << Left) - 1u);
+  }
+
   /// One bit per lane on every backend; see simd/Mask.h.
   using Mask = Mask16;
 

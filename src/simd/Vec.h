@@ -127,8 +127,7 @@ template <> struct VecI32<backend::Scalar> {
   /// Result lane = (M set ? B : A); AVX-512 mask_mov semantics.
   static VecI32 blend(Mask16 M, VecI32 A, VecI32 B) {
     for (int I = 0; I < kLanes; ++I)
-      if (testLane(M, I))
-        A.Lane[I] = B.Lane[I];
+      A.Lane[I] = (M & kLaneBits[I]) ? B.Lane[I] : A.Lane[I];
     return A;
   }
 
@@ -224,26 +223,25 @@ template <> struct VecI32<backend::Scalar> {
     return A;
   }
 
+  // Compares build the mask branch-free through kLaneBits, so the
+  // lane loop vectorizes.
   Mask16 eq(VecI32 O) const {
-    Mask16 M = 0;
+    unsigned M = 0;
     for (int I = 0; I < kLanes; ++I)
-      if (Lane[I] == O.Lane[I])
-        M |= laneBit(I);
-    return M;
+      M |= Lane[I] == O.Lane[I] ? kLaneBits[I] : 0u;
+    return static_cast<Mask16>(M);
   }
   Mask16 lt(VecI32 O) const {
-    Mask16 M = 0;
+    unsigned M = 0;
     for (int I = 0; I < kLanes; ++I)
-      if (Lane[I] < O.Lane[I])
-        M |= laneBit(I);
-    return M;
+      M |= Lane[I] < O.Lane[I] ? kLaneBits[I] : 0u;
+    return static_cast<Mask16>(M);
   }
   Mask16 gt(VecI32 O) const {
-    Mask16 M = 0;
+    unsigned M = 0;
     for (int I = 0; I < kLanes; ++I)
-      if (Lane[I] > O.Lane[I])
-        M |= laneBit(I);
-    return M;
+      M |= Lane[I] > O.Lane[I] ? kLaneBits[I] : 0u;
+    return static_cast<Mask16>(M);
   }
 
   /// Masked compare-equal: lanes outside \p Active report 0.

@@ -89,9 +89,10 @@ struct Workload {
 
 /// Naive reference classifier over one whole stream (treated as a single
 /// tile with windows aligned to \p Idx).  Deliberately shares no code
-/// with pattern::classifyOne: std::set/std::map over the same published
-/// thresholds (per-16-window duplicates, nondecreasing order, <= 16
-/// distinct, strict majority), same precedence.
+/// with the classifier kernel (pattern/ClassifyKernel.h): std::set/
+/// std::map over the same published thresholds (per-16-window
+/// duplicates, nondecreasing order, <= 16 distinct, strict majority),
+/// same precedence.
 pattern::TileClass expectedClass(const int32_t *Idx, int64_t N);
 
 /// Materializes \p Spec.  Pure: same spec, same workload, any host.

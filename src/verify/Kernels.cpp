@@ -15,7 +15,7 @@
 #include "core/InvecReduce.h"
 #include "core/Variant.h"
 #include "masking/ConflictMask.h"
-#include "pattern/Classify.h"
+#include "pattern/ClassifyKernel.h"
 #include "pattern/Dispatch.h"
 #include "simd/Backend.h"
 #include "simd/Ops.h"
@@ -194,7 +194,7 @@ void patternChunk(const int32_t *Idx, const T *Val, int64_t N, T *Out,
   // the range this chunk dispatches, so the per-window certification
   // holds regardless of how runTyped sliced the stream.
   const pattern::PatternResult P =
-      pattern::classifyStream(Idx, End, /*TileLen=*/64);
+      pattern::classify<B>(pattern::streamSource(Idx, End, /*TileLen=*/64));
   const pattern::DenseSink<Op, T> Sink(Out);
   for (int64_t Tile = 0; Tile < P.numTiles(); ++Tile) {
     const int64_t Lo = Tile * P.TileLen;

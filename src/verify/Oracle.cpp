@@ -13,6 +13,7 @@
 #include "service/Service.h"
 #include "simd/Ops.h"
 
+#include <algorithm>
 #include <cfloat>
 #include <cinttypes>
 #include <cmath>
@@ -229,32 +230,69 @@ std::optional<OracleFailure> checkKernels(const Workload &W,
 // Classifier tier: production classifier vs. the naive reference
 //===----------------------------------------------------------------------===//
 
+/// One tile's TileInfo on tier \p K (pattern::classifyRange, but pinned
+/// to a tier instead of the process-wide selection).
+pattern::TileInfo classifyOn(core::BackendKind K, const Workload &W) {
+  return core::dispatchFor(K)
+      .Classify(pattern::rangeSource(W.Idx.data(), W.Spec.N))
+      .Tiles.front();
+}
+
+bool sameTileInfo(const pattern::TileInfo &A, const pattern::TileInfo &B) {
+  return A.Class == B.Class && A.Distinct == B.Distinct &&
+         A.MaxRun == B.MaxRun && A.D1Estimate == B.D1Estimate &&
+         A.HotIdx == B.HotIdx && A.HotShare == B.HotShare &&
+         A.AlphabetSize == B.AlphabetSize &&
+         std::equal(A.Alphabet, A.Alphabet + pattern::kMaxAlphabet,
+                    B.Alphabet);
+}
+
+/// The first tier whose classification of \p W is wrong: scalar when its
+/// class disagrees with the naive reference, a wide tier when any of its
+/// TileInfo fields differs from scalar's.  Null when every tier this run
+/// checks agrees.
+const char *classifierDisagreement(const Workload &W, const OracleOptions &O) {
+  const pattern::TileInfo Ref = classifyOn(core::BackendKind::Scalar, W);
+  if (Ref.Class != expectedClass(W.Idx.data(), W.Spec.N))
+    return "scalar";
+  if (O.UseAvx2 && core::avx2Available() &&
+      !sameTileInfo(Ref, classifyOn(core::BackendKind::Avx2, W)))
+    return "avx2";
+  if (O.UseAvx512 && core::avx512Available() &&
+      !sameTileInfo(Ref, classifyOn(core::BackendKind::Avx512, W)))
+    return "avx512";
+  return nullptr;
+}
+
 std::optional<OracleFailure> checkClassifier(const Workload &W,
                                              const OracleOptions &O) {
-  // The single-scan classifier (pattern::classifyRange) must agree with
-  // the std::set/std::map reference the workload was tagged with at
-  // generation time; a threshold drift between them is a verification
-  // failure even when every kernel still computes the right numbers.
-  const pattern::TileClass Got =
-      pattern::classifyRange(W.Idx.data(), W.Spec.N).Class;
-  if (Got == W.Expected)
+  // The classifier must agree with the std::set/std::map reference the
+  // workload was tagged with at generation time, and every tier must
+  // produce the same TileInfo; a threshold drift or a tier divergence is
+  // a verification failure even when every kernel still computes the
+  // right numbers.
+  const char *Tier = classifierDisagreement(W, O);
+  if (!Tier)
     return std::nullopt;
 
-  auto Disagrees = [](const Workload &S) {
-    return pattern::classifyRange(S.Idx.data(), S.Spec.N).Class !=
-           expectedClass(S.Idx.data(), S.Spec.N);
-  };
-  const Workload Small = shrinkWorkload(W, Disagrees);
+  const Workload Small = shrinkWorkload(W, [&](const Workload &S) {
+    return classifierDisagreement(S, O) != nullptr;
+  });
   OracleFailure F;
   F.Spec = W.Spec;
   F.Where = "classifier";
   F.Pipeline = "classify";
-  F.Backend = "scalar";
+  F.Backend = Tier;
   F.Elements = Small.Spec.N;
-  F.Detail = std::string("pattern classifier says ") +
-             pattern::tileClassName(Got) +
-             " but the naive reference says " +
-             pattern::tileClassName(W.Expected);
+  const pattern::TileClass Got =
+      classifyOn(core::BackendKind::Scalar, W).Class;
+  F.Detail = Got != W.Expected
+                 ? std::string("pattern classifier says ") +
+                       pattern::tileClassName(Got) +
+                       " but the naive reference says " +
+                       pattern::tileClassName(W.Expected)
+                 : std::string("the ") + Tier +
+                       " classifier's TileInfo differs from scalar's";
   if (!O.CorpusDir.empty()) {
     const std::string Path = corpusPathFor(O, F);
     if (writeCorpus(Path, Small).ok())

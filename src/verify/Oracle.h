@@ -2,9 +2,10 @@
 //
 // The oracle hierarchy (DESIGN.md §11):
 //
-//   classifier    pattern::classifyRange against the naive std::set/
+//   classifier    the scalar classifier against the naive std::set/
 //                 std::map reference every workload is tagged with at
-//                 generation time (always on -- one scan);
+//                 generation time, and every enabled wide tier's TileInfo
+//                 against scalar's, field for field (always on);
 //   kernel tier   every compiled backend x {invec-alg1, invec-alg2,
 //                 masking, adaptive, pattern} x {1, N} privatized chunks
 //                 against a scalar double-precision reference, for float

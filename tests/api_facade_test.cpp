@@ -12,10 +12,13 @@
 
 #include "core/Api.h"
 #include "graph/Generators.h"
+#include "graph/Prepared.h"
+#include "obs/Trace.h"
 #include "workload/KeyGen.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace cfv;
@@ -178,6 +181,65 @@ TEST(RunFacade, FrontierApps) {
     EXPECT_GT(Res->Iterations, 0);
   }
 }
+
+TEST(RunFacade, ColdFrontierCallChargesCsrBuildToPrep) {
+  // A plain EdgeList: the call builds CSR itself, and that is prep time.
+  AppRequest R = baseRequest(AppId::Sssp);
+  R.Source = 1;
+  const Expected<AppResult> Res = run(R);
+  ASSERT_TRUE(Res.ok()) << Res.status().message();
+  EXPECT_GT(Res->PrepSeconds, 0.0);
+
+  apps::FrontierOptions O;
+  O.Source = 1;
+  O.Threads = 1;
+  const apps::FrontierResult Cold =
+      apps::runFrontier(Fixtures::get().G, apps::FrApp::Sssp,
+                        apps::FrVersion::NontilingInvec, O);
+  EXPECT_GT(Cold.CsrSeconds, 0.0);
+  // A shared adjacency is reused, not rebuilt.
+  const graph::Csr Shared = graph::buildCsr(Fixtures::get().G);
+  O.SharedCsr = &Shared;
+  const apps::FrontierResult Warm =
+      apps::runFrontier(Fixtures::get().G, apps::FrApp::Sssp,
+                        apps::FrVersion::NontilingInvec, O);
+  EXPECT_EQ(Warm.CsrSeconds, 0.0);
+  EXPECT_EQ(Warm.Value, Cold.Value);
+}
+
+#if CFV_OBS
+namespace {
+
+/// How many "frontier:csr_build" spans one cfv::run records.
+int csrBuildSpans(const AppRequest &R) {
+  obs::Tracer &T = obs::Tracer::instance();
+  T.clear();
+  T.setEnabled(true);
+  const Expected<AppResult> Res = run(R);
+  T.setEnabled(false);
+  EXPECT_TRUE(Res.ok()) << Res.status().message();
+  const std::vector<obs::SpanEvent> Spans = T.collect();
+  T.clear();
+  return static_cast<int>(
+      std::count_if(Spans.begin(), Spans.end(), [](const obs::SpanEvent &E) {
+        return E.Name == "frontier:csr_build";
+      }));
+}
+
+} // namespace
+
+TEST(RunFacade, PreparedFrontierCallDoesNotRebuildCsr) {
+  AppRequest R = baseRequest(AppId::Sssp);
+  R.Source = 1;
+  EXPECT_EQ(csrBuildSpans(R), 1);
+
+  const graph::PreparedGraph P(Fixtures::get().G);
+  P.csr(); // memoized before the request
+  R.Graph = nullptr;
+  R.Prepared = &P;
+  EXPECT_EQ(csrBuildSpans(R), 0);
+}
+#endif
 
 TEST(RunFacade, FacadeMatchesDirectCall) {
   // Same options through the facade and the classic entry point must

@@ -90,8 +90,8 @@ namespace {
       "                       CFV_THREADS, else 1)\n"
       "  --pattern <m>        off | classify-only | on: per-tile index-\n"
       "                       stream classification + specialized kernel\n"
-      "                       dispatch for the invec versions (default:\n"
-      "                       CFV_PATTERN, else on)\n"
+      "                       dispatch for the pagerank and spmv invec\n"
+      "                       versions (default: CFV_PATTERN, else on)\n"
       "  --numa <m>           off | auto | interleave: NUMA-sharded tile\n"
       "                       assignment, worker pinning, and the\n"
       "                       two-level merge (default: CFV_NUMA, else\n"

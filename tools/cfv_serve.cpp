@@ -24,8 +24,11 @@
 //   {"cmd":"metrics"}             -> Prometheus text exposition, JSON-
 //                                    wrapped in {"prometheus":"..."}
 //   {"cmd":"shutdown"}            -> drains and exits 0
-//   GET <path> ...                -> raw HTTP/1.0 Prometheus scrape on
-//                                    the same port (answers and closes)
+//   GET /metrics, GET /healthz    -> HTTP/1.1 on the same port: the
+//                                    Prometheus scrape or a JSON health
+//                                    check; the connection stays open
+//                                    (keep-alive) unless the client asks
+//                                    to close or speaks HTTP/1.0
 //   malformed line                -> structured parse_error response;
 //                                    the server keeps serving
 //
