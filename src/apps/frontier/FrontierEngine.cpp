@@ -20,6 +20,7 @@
 #include "util/Stats.h"
 #include "util/Timer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -95,7 +96,7 @@ struct SswpPolicy {
 
 /// WCC by min-label propagation: label(ny) = min(label(ny), label(nx));
 /// every vertex starts active with its own id as label.  Vertex ids are
-/// stored as float, exact for graphs under 2^24 vertices.
+/// stored as float, exact up to 2^24, so cfv::run rejects larger graphs.
 struct WccPolicy {
   using ReduceOp = simd::OpMin;
   static constexpr bool NeedsWeight = false;
@@ -123,70 +124,123 @@ struct BfsPolicy {
   static Mask16 better(FVec C, FVec Cur) { return C.lt(Cur); }
 };
 
-/// Active edge buffers, rebuilt from the frontier every iteration (the
-/// paper's n1/n2 arrays over active edges).  Reused to avoid per-iteration
-/// allocation.
-struct ActiveEdges {
+/// One stage of the virtual active-edge list: the paper's n1/n2 arrays
+/// (and the edge weights of weighted apps) for up to kFrontierStageEdges
+/// consecutive active edges.
+struct Stage {
   AlignedVector<int32_t> Src;
   AlignedVector<int32_t> Dst;
   AlignedVector<float> W;
+  int64_t Size = 0;
 
-  void clear() {
-    Src.clear();
-    Dst.clear();
-    W.clear();
-  }
-  int64_t size() const { return static_cast<int64_t>(Src.size()); }
+  explicit Stage(bool NeedsWeight)
+      : Src(kFrontierStageEdges), Dst(kFrontierStageEdges),
+        W(NeedsWeight ? kFrontierStageEdges : 0) {}
 };
 
-/// Gathers the outgoing edges of every frontier vertex.  Works off a
-/// CsrView so an in-core Csr and the mmap'd CSR sections of a MappedCsr
-/// expand through the same loop; \p Mapped (may be null) receives
-/// residency advice for each row about to stream.
-void expand(const graph::CsrView &Adj, const graph::MappedCsr *Mapped,
-            const graph::Frontier &Cur, bool NeedsWeight, ActiveEdges &Out) {
-  Out.clear();
-  for (const int32_t V : Cur.vertices()) {
-    const int64_t Begin = Adj.RowBegin[V], End = Adj.RowBegin[V + 1];
-    if (Mapped)
-      Mapped->adviseCsrRange(Begin, End);
-    for (int64_t E = Begin; E < End; ++E) {
-      Out.Src.push_back(V);
-      Out.Dst.push_back(Adj.Col[E]);
-      if (NeedsWeight)
-        Out.W.push_back(Adj.Weight[E]);
+static_assert(kFrontierStageEdges % simd::kMaxLanes == 0,
+              "a stage must hold whole vectors on every backend");
+
+/// Walks \p Count edges of the virtual active-edge list -- the CSR rows
+/// of \p Verts concatenated in order -- starting \p Skip edges into row
+/// \p First: copies them into \p S one stage at a time and calls
+/// \p Sweep after each fill.  \p Mapped (may be null) receives residency
+/// advice for each row as it streams.  Works off a CsrView so an in-core
+/// Csr and the mmap'd CSR sections of a MappedCsr walk the same loop.
+template <typename SweepFn>
+void walkStages(const graph::CsrView &Adj, const graph::MappedCsr *Mapped,
+                const int32_t *Verts, int64_t First, int64_t Skip,
+                int64_t Count, Stage &S, SweepFn &&Sweep) {
+  if (Count <= 0)
+    return;
+  const bool Weighted = !S.W.empty();
+  int64_t Row = First;
+  int64_t E = Adj.RowBegin[Verts[Row]] + Skip;
+  while (Count > 0) {
+    int64_t Fill = 0;
+    while (Fill < kFrontierStageEdges && Count > 0) {
+      const int32_t V = Verts[Row];
+      const int64_t End = Adj.RowBegin[V + 1];
+      const int64_t Take =
+          std::min({End - E, kFrontierStageEdges - Fill, Count});
+      if (Mapped)
+        Mapped->adviseCsrRange(E, E + Take);
+      // Vector-wide copies: most frontier rows are a few edges long, too
+      // short for a library memcpy call to pay off.
+      const IVec Vx = IVec::broadcast(V);
+      for (int64_t K = 0; K < Take; K += kLanes) {
+        const int64_t Left = Take - K;
+        const Mask16 M = Left >= kLanes
+                             ? kAllLanes
+                             : static_cast<Mask16>((1u << Left) - 1u);
+        IVec::maskLoad(IVec::zero(), M, Adj.Col + E + K)
+            .maskStore(M, S.Dst.data() + Fill + K);
+        Vx.maskStore(M, S.Src.data() + Fill + K);
+        if (Weighted)
+          FVec::maskLoad(FVec::zero(), M, Adj.Weight + E + K)
+              .maskStore(M, S.W.data() + Fill + K);
+      }
+      Fill += Take;
+      Count -= Take;
+      E += Take;
+      if (E == End && Count > 0)
+        E = Adj.RowBegin[Verts[++Row]];
     }
+    S.Size = Fill;
+    Sweep(S);
   }
 }
 
-/// Everything one relaxation sweep needs.
-struct SweepState {
-  AlignedVector<float> &Val;    ///< stable values read via nx
-  AlignedVector<float> &ValNew; ///< values being relaxed via ny
+/// Where a sweep commits the destinations it improved.  With one thread
+/// a sweep relaxes ValNew in place and marks Next directly; a parallel
+/// worker leaves ValNew untouched and spills (vertex, candidate) pairs
+/// for mergeCandidates.
+struct RelaxInPlace {
+  float *ValNew;
   graph::Frontier &Next;
+
+  void commit(int32_t Ny, float Cand) {
+    ValNew[Ny] = Cand;
+    Next.add(Ny);
+  }
+  void commit(Mask16 M, IVec Ny, FVec Cand) {
+    Cand.maskScatter(M, ValNew, Ny);
+    Next.addLanes<B>(M, Ny);
+  }
 };
 
-template <typename Policy>
-void sweepSerial(const ActiveEdges &A, SweepState S) {
-  const int64_t M = A.size();
-  for (int64_t J = 0; J < M; ++J) {
+struct SpillCandidates {
+  core::SpillListF &Out;
+
+  void commit(int32_t Ny, float Cand) { Out.push(Ny, Cand); }
+  void commit(Mask16 M, IVec Ny, FVec Cand) { Out.push(M, Ny, Cand); }
+};
+
+//===----------------------------------------------------------------------===//
+// Relaxation sweeps
+//
+// Each sweep reads the stable Val through the source endpoint and
+// relaxes through the destination against ValNew, committing to a sink.
+// With one thread the sink writes ValNew as it goes; with several,
+// workers read Val/ValNew strictly read-only and spill (destination,
+// candidate) pairs pre-filtered against the stable ValNew, and the
+// serial merge re-applies Policy::better in thread-id order.  min/max
+// relaxations are exact, so ValNew ends equal to the one-thread sweep's
+// at any thread count and in any edge order, and a vertex enters Next
+// exactly when its final value improved.
+//===----------------------------------------------------------------------===//
+
+template <typename Policy, typename Sink>
+void sweepSerial(const Stage &A, const float *Val, const float *ValNew,
+                 Sink &Out) {
+  for (int64_t J = 0; J < A.Size; ++J) {
     const int32_t Nx = A.Src[J];
     const int32_t Ny = A.Dst[J];
     const float W = Policy::NeedsWeight ? A.W[J] : 0.0f;
-    const float Cand = Policy::candidate(S.Val[Nx], W);
-    if (Policy::better(Cand, S.ValNew[Ny])) {
-      S.ValNew[Ny] = Cand;
-      S.Next.add(Ny);
-    }
+    const float Cand = Policy::candidate(Val[Nx], W);
+    if (Policy::better(Cand, ValNew[Ny]))
+      Out.commit(Ny, Cand);
   }
-}
-
-/// Appends the destinations of the lanes in \p M to the next frontier.
-void addLanesToFrontier(Mask16 M, IVec Vny, graph::Frontier &Next) {
-  alignas(64) int32_t Buf[kLanes];
-  const int N = Vny.compressStore(M, Buf);
-  for (int I = 0; I < N; ++I)
-    Next.add(Buf[I]);
 }
 
 /// Conflict-masking sweep.  Every active edge performs the associative
@@ -194,8 +248,9 @@ void addLanesToFrontier(Mask16 M, IVec Vny, graph::Frontier &Next) {
 /// edge-centric mask versions do); a lane commits only when its
 /// destination is conflict free in this pass, so the SIMD utilization is
 /// dictated purely by the input's duplicate density.
-template <typename Policy>
-void sweepMask(const ActiveEdges &A, SweepState S, SimdUtilCounter &Util) {
+template <typename Policy, typename Sink>
+void sweepMask(const Stage &A, const float *Val, const float *ValNew,
+               Sink &Out, SimdUtilCounter &Util) {
   const float *WPtr = Policy::NeedsWeight ? A.W.data() : nullptr;
 
   auto LoadIdx = [&](IVec Pos, Mask16 Lanes) {
@@ -203,28 +258,26 @@ void sweepMask(const ActiveEdges &A, SweepState S, SimdUtilCounter &Util) {
   };
   auto Commit = [&](Mask16 Safe, IVec Pos, IVec Idx) {
     const IVec Vnx = IVec::maskGather(IVec::zero(), Safe, A.Src.data(), Pos);
-    const FVec Vdx = FVec::maskGather(FVec::zero(), Safe, S.Val.data(), Vnx);
+    const FVec Vdx = FVec::maskGather(FVec::zero(), Safe, Val, Vnx);
     const FVec Vw = WPtr ? FVec::maskGather(FVec::zero(), Safe, WPtr, Pos)
                          : FVec::zero();
     const FVec Cand = Policy::candidate(Vdx, Vw);
-    const FVec Cur = FVec::maskGather(FVec::zero(), Safe, S.ValNew.data(),
-                                      Idx);
+    const FVec Cur = FVec::maskGather(FVec::zero(), Safe, ValNew, Idx);
     const Mask16 Better =
         static_cast<Mask16>(Policy::better(Cand, Cur) & Safe);
-    if (!Better)
-      return;
-    Cand.maskScatter(Better, S.ValNew.data(), Idx);
-    addLanesToFrontier(Better, Idx, S.Next);
+    if (Better)
+      Out.commit(Better, Idx, Cand);
   };
-  masking::maskedStreamLoop<B>(A.size(), LoadIdx,
+  masking::maskedStreamLoop<B>(A.Size, LoadIdx,
                                masking::AllLanesNeedUpdate{}, Commit, &Util);
 }
 
-template <typename Policy>
-void sweepInvec(const ActiveEdges &A, SweepState S, ConflictCounter &MeanD1) {
+template <typename Policy, typename Sink>
+void sweepInvec(const Stage &A, const float *Val, const float *ValNew,
+                Sink &Out, ConflictCounter &MeanD1) {
   using Op = typename Policy::ReduceOp;
   const float *WPtr = Policy::NeedsWeight ? A.W.data() : nullptr;
-  const int64_t M = A.size();
+  const int64_t M = A.Size;
 
   for (int64_t J = 0; J < M; J += kLanes) {
     const int64_t Left = M - J;
@@ -233,8 +286,7 @@ void sweepInvec(const ActiveEdges &A, SweepState S, ConflictCounter &MeanD1) {
                        : static_cast<Mask16>((1u << Left) - 1u);
     const IVec Vnx = IVec::maskLoad(IVec::zero(), Active, A.Src.data() + J);
     const IVec Vny = IVec::maskLoad(IVec::zero(), Active, A.Dst.data() + J);
-    const FVec Vdx = FVec::maskGather(FVec::zero(), Active, S.Val.data(),
-                                      Vnx);
+    const FVec Vdx = FVec::maskGather(FVec::zero(), Active, Val, Vnx);
     const FVec Vw = WPtr
                         ? FVec::maskLoad(FVec::zero(), Active, WPtr + J)
                         : FVec::zero();
@@ -245,14 +297,32 @@ void sweepInvec(const ActiveEdges &A, SweepState S, ConflictCounter &MeanD1) {
     const core::InvecResult R = core::invecReduce<Op>(Active, Vny, Cand);
     MeanD1.add(R.Distinct);
 
-    const FVec Cur = FVec::maskGather(FVec::zero(), R.Ret, S.ValNew.data(),
-                                      Vny);
+    const FVec Cur = FVec::maskGather(FVec::zero(), R.Ret, ValNew, Vny);
     const Mask16 Better =
         static_cast<Mask16>(Policy::better(Cand, Cur) & R.Ret);
-    if (!Better)
-      continue;
-    Cand.maskScatter(Better, S.ValNew.data(), Vny);
-    addLanesToFrontier(Better, Vny, S.Next);
+    if (Better)
+      Out.commit(Better, Vny, Cand);
+  }
+}
+
+/// Relaxes one stage with the nontiling version \p V.
+template <typename Policy, typename Sink>
+void sweepStage(FrVersion V, const Stage &A, const float *Val,
+                const float *ValNew, Sink &Out, SimdUtilCounter &Util,
+                ConflictCounter &MeanD1) {
+  switch (V) {
+  case FrVersion::NontilingSerial:
+    sweepSerial<Policy>(A, Val, ValNew, Out);
+    return;
+  case FrVersion::NontilingMask:
+    sweepMask<Policy>(A, Val, ValNew, Out, Util);
+    return;
+  case FrVersion::NontilingInvec:
+    sweepInvec<Policy>(A, Val, ValNew, Out, MeanD1);
+    return;
+  case FrVersion::TilingGrouping:
+    assert(false && "grouping scans its groups, not the frontier walk");
+    return;
   }
 }
 
@@ -266,132 +336,12 @@ struct GroupedEdgeSet {
   int64_t NumGroups = 0;
 };
 
-template <typename Policy>
-void sweepGrouped(const GroupedEdgeSet &GE, const graph::Frontier &Cur,
-                  SweepState S, int64_t &EdgesProcessed) {
-  const int32_t *Flags = Cur.flags();
-  for (int64_t G = 0; G < GE.NumGroups; ++G) {
-    const Mask16 M = GE.GroupMask[G];
-    const IVec Vnx = IVec::load(GE.Src.data() + G * kLanes);
-    // Lanes whose source vertex is in the current frontier carry active
-    // edges this iteration.
-    const IVec InF = IVec::maskGather(IVec::zero(), M, Flags, Vnx);
-    const Mask16 ActiveM = static_cast<Mask16>(InF.gt(IVec::zero()) & M);
-    if (!ActiveM)
-      continue;
-    EdgesProcessed += simd::popcount(ActiveM);
-
-    const IVec Vny = IVec::load(GE.Dst.data() + G * kLanes);
-    const FVec Vdx = FVec::maskGather(FVec::zero(), ActiveM, S.Val.data(),
-                                      Vnx);
-    const FVec Vw = Policy::NeedsWeight
-                        ? FVec::load(GE.W.data() + G * kLanes)
-                        : FVec::zero();
-    const FVec Cand = Policy::candidate(Vdx, Vw);
-    const FVec CurV = FVec::maskGather(FVec::zero(), ActiveM,
-                                       S.ValNew.data(), Vny);
-    const Mask16 Better =
-        static_cast<Mask16>(Policy::better(Cand, CurV) & ActiveM);
-    if (!Better)
-      continue;
-    // Destinations are pairwise distinct within a group: scatter directly.
-    Cand.maskScatter(Better, S.ValNew.data(), Vny);
-    addLanesToFrontier(Better, Vny, S.Next);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Parallel candidate sweeps (threads > 1)
-//
-// Workers read Val/ValNew strictly read-only and emit (destination,
-// candidate) pairs into per-worker spill lists, pre-filtered against the
-// stable ValNew; the serial merge re-applies Policy::better in thread-id
-// order.  min/max relaxations are exact, so the merged ValNew equals the
-// serial sweep's at any thread count, and a vertex enters Next exactly
-// when its final value improved -- the same membership the serial sweep
-// produces.  Each chunk kernel mirrors its serial counterpart's
-// instruction pattern (and utilization / D1 accounting).
-//===----------------------------------------------------------------------===//
-
-template <typename Policy>
-void sweepSerialChunk(const ActiveEdges &A, const AlignedVector<float> &Val,
-                      const AlignedVector<float> &ValNew, int64_t Lo,
-                      int64_t Hi, core::SpillListF &Out) {
-  for (int64_t J = Lo; J < Hi; ++J) {
-    const int32_t Nx = A.Src[J];
-    const int32_t Ny = A.Dst[J];
-    const float W = Policy::NeedsWeight ? A.W[J] : 0.0f;
-    const float Cand = Policy::candidate(Val[Nx], W);
-    if (Policy::better(Cand, ValNew[Ny]))
-      Out.push(Ny, Cand);
-  }
-}
-
-template <typename Policy>
-void sweepMaskChunk(const ActiveEdges &A, const AlignedVector<float> &Val,
-                    const AlignedVector<float> &ValNew, int64_t Lo, int64_t Hi,
-                    core::SpillListF &Out, SimdUtilCounter &Util) {
-  const float *WPtr = Policy::NeedsWeight ? A.W.data() : nullptr;
-
-  auto LoadIdx = [&](IVec Pos, Mask16 Lanes) {
-    return IVec::maskGather(IVec::zero(), Lanes, A.Dst.data() + Lo, Pos);
-  };
-  auto Commit = [&](Mask16 Safe, IVec Pos, IVec Idx) {
-    const IVec Vnx =
-        IVec::maskGather(IVec::zero(), Safe, A.Src.data() + Lo, Pos);
-    const FVec Vdx = FVec::maskGather(FVec::zero(), Safe, Val.data(), Vnx);
-    const FVec Vw = WPtr ? FVec::maskGather(FVec::zero(), Safe, WPtr + Lo, Pos)
-                         : FVec::zero();
-    const FVec Cand = Policy::candidate(Vdx, Vw);
-    const FVec Cur = FVec::maskGather(FVec::zero(), Safe, ValNew.data(), Idx);
-    const Mask16 Better =
-        static_cast<Mask16>(Policy::better(Cand, Cur) & Safe);
-    if (!Better)
-      return;
-    Out.push(Better, Idx, Cand);
-  };
-  masking::maskedStreamLoop<B>(Hi - Lo, LoadIdx, masking::AllLanesNeedUpdate{},
-                               Commit, &Util);
-}
-
-template <typename Policy>
-void sweepInvecChunk(const ActiveEdges &A, const AlignedVector<float> &Val,
-                     const AlignedVector<float> &ValNew, int64_t Lo,
-                     int64_t Hi, core::SpillListF &Out,
-                     ConflictCounter &MeanD1) {
-  using Op = typename Policy::ReduceOp;
-  const float *WPtr = Policy::NeedsWeight ? A.W.data() : nullptr;
-
-  for (int64_t J = Lo; J < Hi; J += kLanes) {
-    const int64_t Left = Hi - J;
-    const Mask16 Active =
-        Left >= kLanes ? kAllLanes
-                       : static_cast<Mask16>((1u << Left) - 1u);
-    const IVec Vnx = IVec::maskLoad(IVec::zero(), Active, A.Src.data() + J);
-    const IVec Vny = IVec::maskLoad(IVec::zero(), Active, A.Dst.data() + J);
-    const FVec Vdx = FVec::maskGather(FVec::zero(), Active, Val.data(), Vnx);
-    const FVec Vw = WPtr ? FVec::maskLoad(FVec::zero(), Active, WPtr + J)
-                         : FVec::zero();
-    FVec Cand = Policy::candidate(Vdx, Vw);
-    const core::InvecResult R = core::invecReduce<Op>(Active, Vny, Cand);
-    MeanD1.add(R.Distinct);
-    const FVec Cur = FVec::maskGather(FVec::zero(), R.Ret, ValNew.data(),
-                                      Vny);
-    const Mask16 Better =
-        static_cast<Mask16>(Policy::better(Cand, Cur) & R.Ret);
-    if (!Better)
-      continue;
-    Out.push(Better, Vny, Cand);
-  }
-}
-
-template <typename Policy>
-void sweepGroupedChunk(const GroupedEdgeSet &GE, const graph::Frontier &Cur,
-                       const AlignedVector<float> &Val,
-                       const AlignedVector<float> &ValNew, int64_t GLo,
-                       int64_t GHi, core::SpillListF &Out,
-                       int64_t &EdgesProcessed) {
-  const int32_t *Flags = Cur.flags();
+/// Scans groups [GLo, GHi): lanes whose source vertex is in the current
+/// frontier (\p Flags) carry this iteration's active edges.
+template <typename Policy, typename Sink>
+void sweepGrouped(const GroupedEdgeSet &GE, const int32_t *Flags,
+                  const float *Val, const float *ValNew, int64_t GLo,
+                  int64_t GHi, Sink &Out) {
   for (int64_t G = GLo; G < GHi; ++G) {
     const Mask16 M = GE.GroupMask[G];
     const IVec Vnx = IVec::load(GE.Src.data() + G * kLanes);
@@ -399,22 +349,19 @@ void sweepGroupedChunk(const GroupedEdgeSet &GE, const graph::Frontier &Cur,
     const Mask16 ActiveM = static_cast<Mask16>(InF.gt(IVec::zero()) & M);
     if (!ActiveM)
       continue;
-    EdgesProcessed += simd::popcount(ActiveM);
 
     const IVec Vny = IVec::load(GE.Dst.data() + G * kLanes);
-    const FVec Vdx = FVec::maskGather(FVec::zero(), ActiveM, Val.data(),
-                                      Vnx);
+    const FVec Vdx = FVec::maskGather(FVec::zero(), ActiveM, Val, Vnx);
     const FVec Vw = Policy::NeedsWeight
                         ? FVec::load(GE.W.data() + G * kLanes)
                         : FVec::zero();
     const FVec Cand = Policy::candidate(Vdx, Vw);
-    const FVec CurV = FVec::maskGather(FVec::zero(), ActiveM, ValNew.data(),
-                                       Vny);
+    const FVec CurV = FVec::maskGather(FVec::zero(), ActiveM, ValNew, Vny);
     const Mask16 Better =
         static_cast<Mask16>(Policy::better(Cand, CurV) & ActiveM);
-    if (!Better)
-      continue;
-    Out.push(Better, Vny, Cand);
+    // Destinations are pairwise distinct within a group: commit directly.
+    if (Better)
+      Out.commit(Better, Vny, Cand);
   }
 }
 
@@ -436,13 +383,39 @@ void mergeCandidates(std::vector<core::SpillListF> &Spills,
   }
 }
 
+/// Where one worker's share of the active-edge list starts.
+struct WalkStart {
+  int64_t Row = 0;  ///< index into the frontier
+  int64_t Skip = 0; ///< edges of that row before the share begins
+};
+
+/// Locates each worker's first row from a running degree prefix sum over
+/// the frontier; \p Bounds are positions in the active-edge list.
+std::vector<WalkStart> locateStarts(const graph::CsrView &Adj,
+                                    const AlignedVector<int32_t> &Verts,
+                                    const std::vector<int64_t> &Bounds) {
+  std::vector<WalkStart> Starts(Bounds.size() - 1);
+  const int64_t NumVerts = static_cast<int64_t>(Verts.size());
+  int64_t Row = 0, Before = 0;
+  for (size_t T = 0; T < Starts.size(); ++T) {
+    // Skip the rows that end at or before the share's first position
+    // (empty rows there included).
+    while (Row < NumVerts && Before + Adj.degree(Verts[Row]) <= Bounds[T]) {
+      Before += Adj.degree(Verts[Row]);
+      ++Row;
+    }
+    Starts[T] = {Row, Bounds[T] - Before};
+  }
+  return Starts;
+}
+
 template <typename Policy>
 FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
                        const FrontierOptions &O) {
   FrontierResult R;
   const int32_t N = G.NumNodes;
   // Out-of-core substitution: a compatible MappedCsr supplies both the
-  // CSR adjacency (exact buildCsr output, so expansion is bit-identical)
+  // CSR adjacency (exact buildCsr output, so the walk is bit-identical)
   // and the original-order COO arrays the grouping inspector consumes;
   // it also serves a hollow EdgeList whose edges live only in the
   // mapping.
@@ -451,7 +424,9 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
       Mapped && Mapped->numNodes() == N &&
       (G.numEdges() == 0 || G.numEdges() == Mapped->numEdges()) &&
       (!Policy::NeedsWeight || Mapped->isWeighted());
-  assert((!Policy::NeedsWeight || G.isWeighted() || UseMapped) &&
+  // An edgeless graph vacuously carries weights, as cfv::run accepts.
+  assert((!Policy::NeedsWeight || G.isWeighted() || G.numEdges() == 0 ||
+          UseMapped) &&
          "this application requires edge weights");
   const int32_t *ESrc = UseMapped ? Mapped->edgeSrc() : G.Src.data();
   const int32_t *EDst = UseMapped ? Mapped->edgeDst() : G.Dst.data();
@@ -486,6 +461,7 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
     Val[I] = Policy::farValue(I);
   graph::Frontier Cur(N), Next(N);
   if (Policy::AllVerticesStart) {
+    Cur.beginWave(N);
     for (int32_t I = 0; I < N; ++I)
       Cur.add(I);
   } else {
@@ -493,6 +469,7 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
     Val[O.Source] = Policy::sourceValue();
     Cur.add(O.Source);
   }
+  Cur.publish<B>();
   ValNew = Val;
 
   // One-time data reorganization for the inspector/executor version: tile
@@ -534,16 +511,18 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
         monotonicSeconds() - R.GroupingSeconds, R.GroupingSeconds);
   }
 
-  ActiveEdges A;
   const int NumThreads = core::resolveThreads(O.Threads);
+  std::vector<Stage> Stages;
+  if (V != FrVersion::TilingGrouping)
+    Stages.assign(NumThreads, Stage(Policy::NeedsWeight));
   std::vector<SimdUtilCounter> Utils(NumThreads);
   std::vector<ConflictCounter> D1s(NumThreads);
   std::vector<core::SpillListF> Spills(NumThreads > 1 ? NumThreads : 0);
-  std::vector<int64_t> GroupEdges(NumThreads, 0);
   const std::vector<int64_t> GroupBounds =
-      V == FrVersion::TilingGrouping && NumThreads > 1
+      V == FrVersion::TilingGrouping
           ? core::chunkBounds(GE.NumGroups, NumThreads, 1)
           : std::vector<int64_t>();
+  const graph::MappedCsr *Advise = UseMapped ? Mapped : nullptr;
   core::ParallelEngine &Engine = core::ParallelEngine::instance();
 
   WallTimer Compute;
@@ -552,64 +531,52 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
       R.TimedOut = true;
       break;
     }
-    if (NumThreads > 1) {
-      // Parallel candidate sweep + deterministic merge.
-      if (V == FrVersion::TilingGrouping) {
-        Engine.run(NumThreads, [&](int Tid) {
-          sweepGroupedChunk<Policy>(GE, Cur, Val, ValNew, GroupBounds[Tid],
-                                    GroupBounds[Tid + 1], Spills[Tid],
-                                    GroupEdges[Tid]);
-        });
-      } else {
-        expand(Adj, UseMapped ? Mapped : nullptr, Cur, Policy::NeedsWeight,
-               A);
-        R.EdgesProcessed += A.size();
-        const std::vector<int64_t> Bounds =
-            core::chunkBounds(A.size(), NumThreads, kLanes);
-        Engine.run(NumThreads, [&](int Tid) {
-          switch (V) {
-          case FrVersion::NontilingSerial:
-            sweepSerialChunk<Policy>(A, Val, ValNew, Bounds[Tid],
-                                     Bounds[Tid + 1], Spills[Tid]);
-            return;
-          case FrVersion::NontilingMask:
-            sweepMaskChunk<Policy>(A, Val, ValNew, Bounds[Tid],
-                                   Bounds[Tid + 1], Spills[Tid], Utils[Tid]);
-            return;
-          case FrVersion::NontilingInvec:
-            sweepInvecChunk<Policy>(A, Val, ValNew, Bounds[Tid],
-                                    Bounds[Tid + 1], Spills[Tid], D1s[Tid]);
-            return;
-          case FrVersion::TilingGrouping:
-            return; // handled above
-          }
-        });
-      }
-      mergeCandidates<Policy>(Spills, ValNew, Next);
+    const AlignedVector<int32_t> &Verts = Cur.vertices();
+    int64_t WaveEdges = 0;
+    for (const int32_t X : Verts)
+      WaveEdges += Adj.degree(X);
+    R.EdgesProcessed += WaveEdges;
+    Next.beginWave(WaveEdges);
+
+    if (NumThreads == 1) {
+      RelaxInPlace Sink{ValNew.data(), Next};
+      if (V == FrVersion::TilingGrouping)
+        sweepGrouped<Policy>(GE, Cur.flags(), Val.data(), ValNew.data(), 0,
+                             GE.NumGroups, Sink);
+      else
+        walkStages(Adj, Advise, Verts.data(), 0, 0, WaveEdges, Stages[0],
+                   [&](const Stage &S) {
+                     sweepStage<Policy>(V, S, Val.data(), ValNew.data(), Sink,
+                                        Utils[0], D1s[0]);
+                   });
     } else {
-      SweepState S{Val, ValNew, Next};
-      if (V == FrVersion::TilingGrouping) {
-        sweepGrouped<Policy>(GE, Cur, S, R.EdgesProcessed);
-      } else {
-        expand(Adj, UseMapped ? Mapped : nullptr, Cur, Policy::NeedsWeight,
-               A);
-        R.EdgesProcessed += A.size();
-        switch (V) {
-        case FrVersion::NontilingSerial:
-          sweepSerial<Policy>(A, S);
-          break;
-        case FrVersion::NontilingMask:
-          sweepMask<Policy>(A, S, Utils[0]);
-          break;
-        case FrVersion::NontilingInvec:
-          sweepInvec<Policy>(A, S, D1s[0]);
-          break;
-        case FrVersion::TilingGrouping:
-          break; // handled above
+      // Parallel candidate sweep + deterministic merge.  Each worker
+      // walks its own kLanes-aligned share of the active-edge list.
+      const std::vector<int64_t> Bounds =
+          V == FrVersion::TilingGrouping
+              ? GroupBounds
+              : core::chunkBounds(WaveEdges, NumThreads, kLanes);
+      const std::vector<WalkStart> Starts =
+          V == FrVersion::TilingGrouping ? std::vector<WalkStart>()
+                                         : locateStarts(Adj, Verts, Bounds);
+      Engine.run(NumThreads, [&](int Tid) {
+        SpillCandidates Sink{Spills[Tid]};
+        if (V == FrVersion::TilingGrouping) {
+          sweepGrouped<Policy>(GE, Cur.flags(), Val.data(), ValNew.data(),
+                               Bounds[Tid], Bounds[Tid + 1], Sink);
+          return;
         }
-      }
+        walkStages(Adj, Advise, Verts.data(), Starts[Tid].Row,
+                   Starts[Tid].Skip, Bounds[Tid + 1] - Bounds[Tid],
+                   Stages[Tid], [&](const Stage &S) {
+                     sweepStage<Policy>(V, S, Val.data(), ValNew.data(), Sink,
+                                        Utils[Tid], D1s[Tid]);
+                   });
+      });
+      mergeCandidates<Policy>(Spills, ValNew, Next);
     }
     // Publish this iteration's relaxations and advance the wave.
+    Next.publish<B>();
     for (const int32_t W : Next.vertices())
       Val[W] = ValNew[W];
     ++R.Iterations;
@@ -617,8 +584,6 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
     Cur.swap(Next);
   }
   R.ComputeSeconds = Compute.seconds();
-  for (const int64_t E : GroupEdges)
-    R.EdgesProcessed += E;
 
   R.Value = std::move(Val);
   SimdUtilCounter Util;

@@ -22,6 +22,11 @@
 ///                        (the reuse technique of Jiang et al., ICS'16);
 ///                        its preparation cost is reported separately.
 ///
+/// The three nontiling versions never materialize the active-edge list:
+/// the frontier is kept in vertex order, so the list is a run of CSR rows
+/// that each sweep copies through a fixed, L2-sized stage and relaxes
+/// stage by stage (DESIGN.md §16).
+///
 /// The relaxations are exact (min/max never reassociate lossily), so all
 /// four versions produce bit-identical results.
 ///
@@ -49,6 +54,12 @@ enum class FrVersion {
   NontilingInvec,
   TilingGrouping,
 };
+
+/// Edges per stage of the nontiling versions' frontier walk: 192 KiB of
+/// staged source, destination and weight arrays, inside one core's L2,
+/// and a multiple of every backend's lane count, so SIMD vectors form
+/// exactly as they would over the whole active-edge list.
+inline constexpr int64_t kFrontierStageEdges = 16384;
 
 const char *appName(FrApp A);
 const char *versionName(FrVersion V);

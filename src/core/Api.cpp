@@ -26,6 +26,8 @@ using namespace cfv;
 namespace {
 
 constexpr int64_t kMaxCardinality = int64_t(1) << 24;
+/// WCC labels are vertex ids stored as float, exact up to 2^24.
+constexpr int64_t kMaxWccNodes = int64_t(1) << 24;
 
 Status invalid(std::string Msg) {
   return Status::error(ErrorCode::InvalidArgument, std::move(Msg));
@@ -351,6 +353,12 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
   obs::Span RunSpan(appIdName(R.App), "run");
   if (R.Options.Threads < 0)
     return invalid("Threads must be >= 0 (0 defers to CFV_THREADS)");
+  // Checked before any prepared artifact or per-vertex array is built.
+  const graph::EdgeList *Input =
+      R.Graph ? R.Graph : R.Prepared ? &R.Prepared->edges() : nullptr;
+  if (R.App == AppId::Wcc && Input && Input->NumNodes > kMaxWccNodes)
+    return invalid("wcc NumNodes must be <= 2^24: labels are vertex ids "
+                   "held exactly in float");
 
   // Prepared-dataset handle: adopt its graph and thread its memoized
   // schedules into the options of the apps that consume them.  First-use

@@ -25,6 +25,8 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 
 namespace cfv {
 namespace test {
@@ -121,6 +123,30 @@ template <typename B> Lane16f toArray(simd::VecF32<B> V) {
   V.store(L.data());
   return L;
 }
+
+/// Saves/restores one environment variable around a test; a null
+/// \p Value unsets it for the scope.
+struct EnvGuard {
+  std::string Name;
+  std::string Saved;
+  bool Had;
+  EnvGuard(const char *N, const char *Value) : Name(N) {
+    const char *Prev = std::getenv(N);
+    Had = Prev != nullptr;
+    if (Had)
+      Saved = Prev;
+    if (Value)
+      setenv(N, Value, 1);
+    else
+      unsetenv(N);
+  }
+  ~EnvGuard() {
+    if (Had)
+      setenv(Name.c_str(), Saved.c_str(), 1);
+    else
+      unsetenv(Name.c_str());
+  }
+};
 
 } // namespace test
 } // namespace cfv

@@ -400,6 +400,28 @@ TEST(RunFacadeErrors, AggregationInputs) {
   expectInvalid(R, "cardinality past cap");
 }
 
+TEST(RunFacadeErrors, WccPastExactFloatLabels) {
+  // Labels are vertex ids held in float: 2^24 + 1 rounds onto 2^24, so
+  // two components would silently merge.  One edge keeps the input tiny;
+  // the 2^24 + 2 vertices exist only as a count.
+  graph::EdgeList G;
+  G.NumNodes = (int32_t(1) << 24) + 2;
+  G.Src = {G.NumNodes - 1};
+  G.Dst = {G.NumNodes - 2};
+  AppRequest R = baseRequest(AppId::Wcc);
+  R.Graph = &G;
+  expectInvalid(R, "wcc past 2^24 vertices");
+
+  // Through a prepared handle the check runs before the memoized CSR
+  // (or any other per-vertex artifact) is built.
+  graph::PreparedGraph P{graph::EdgeList(G)};
+  const int64_t Bytes = P.approxBytes();
+  R.Graph = nullptr;
+  R.Prepared = &P;
+  expectInvalid(R, "prepared wcc past 2^24 vertices");
+  EXPECT_EQ(P.approxBytes(), Bytes) << "an artifact was built first";
+}
+
 TEST(RunFacadeErrors, MoldynAndMeshInputs) {
   AppRequest R = baseRequest(AppId::Moldyn);
   R.Moldyn.Cells = 0;

@@ -6,6 +6,8 @@
 
 #include "apps/frontier/FrontierEngine.h"
 
+#include "FrontierStageCases.h"
+
 #include "graph/Generators.h"
 
 #include "gtest/gtest.h"
@@ -111,4 +113,8 @@ TEST(Bfs, AllVersionsBitIdentical) {
     EXPECT_EQ(R.Value, Ref.Value) << versionName(V);
     EXPECT_EQ(R.Iterations, Ref.Iterations) << versionName(V);
   }
+}
+
+TEST(Bfs, StageBoundariesMatchSerialEverywhere) {
+  test::checkStageCases(FrApp::Bfs, /*AllVerticesStart=*/false);
 }

@@ -16,6 +16,8 @@
 
 #include "graph/MappedCsr.h"
 
+#include "TestHelpers.h"
+
 #include "core/Api.h"
 #include "graph/Generators.h"
 #include "graph/Graph.h"
@@ -34,31 +36,9 @@
 
 using namespace cfv;
 using namespace cfv::graph;
+using cfv::test::EnvGuard;
 
 namespace {
-
-/// Saves/restores one environment variable around a test.
-struct EnvGuard {
-  std::string Name;
-  std::string Saved;
-  bool Had;
-  EnvGuard(const char *N, const char *Value) : Name(N) {
-    const char *Prev = std::getenv(N);
-    Had = Prev != nullptr;
-    if (Had)
-      Saved = Prev;
-    if (Value)
-      setenv(N, Value, 1);
-    else
-      unsetenv(N);
-  }
-  ~EnvGuard() {
-    if (Had)
-      setenv(Name.c_str(), Saved.c_str(), 1);
-    else
-      unsetenv(Name.c_str());
-  }
-};
 
 /// Deletes the CFVM file when the test scope ends.
 struct FileGuard {

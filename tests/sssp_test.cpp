@@ -6,6 +6,8 @@
 
 #include "apps/frontier/FrontierEngine.h"
 
+#include "FrontierStageCases.h"
+
 #include "graph/Generators.h"
 
 #include "gtest/gtest.h"
@@ -186,4 +188,8 @@ TEST(Sssp, MaskUtilizationWithinBounds) {
       runFrontier(G, FrApp::Sssp, FrVersion::NontilingMask);
   EXPECT_GT(R.SimdUtil, 0.0);
   EXPECT_LE(R.SimdUtil, 1.0);
+}
+
+TEST(Sssp, StageBoundariesMatchSerialEverywhere) {
+  test::checkStageCases(FrApp::Sssp, /*AllVerticesStart=*/false);
 }

@@ -15,6 +15,8 @@
 
 #include "apps/frontier/FrontierEngine.h"
 
+#include "FrontierStageCases.h"
+
 #include "graph/Generators.h"
 
 #include "gtest/gtest.h"
@@ -143,4 +145,8 @@ TEST(Wcc, AllVersionsBitIdentical) {
     EXPECT_EQ(R.Value, Ref.Value) << versionName(V);
     EXPECT_EQ(R.Iterations, Ref.Iterations) << versionName(V);
   }
+}
+
+TEST(Wcc, StageBoundariesMatchSerialEverywhere) {
+  test::checkStageCases(FrApp::Wcc, /*AllVerticesStart=*/true);
 }
